@@ -6,17 +6,21 @@
 #   2. lints             cargo clippy, warnings are errors
 #   3. tier-1            release build + the root suite's smoke tests
 #   4. workspace tests   every crate's unit/integration tests
-#   5. model checking    budgeted oftt-check sweep over pair failover
-#   6. verify sweep      oftt-verify exhausts the abstract protocol space
+#   5. perfbench         builds the end-to-end benchmark (its own cargo
+#                        workspace, outside the one above) and runs its
+#                        tests, so a change to a crate API it calls
+#                        fails here rather than in a benchmark run
+#   6. model checking    budgeted oftt-check sweep over pair failover
+#   7. verify sweep      oftt-verify exhausts the abstract protocol space
 #                        (pinned state count, zero violations, no lasso)
 #                        and refines a 200-schedule trace-export sweep,
 #                        plus the seeded-defect round-trip smoke
-#   7. audit sweep       oftt-audit over both sweeps (races, lock order,
+#   8. audit sweep       oftt-audit over both sweeps (races, lock order,
 #                        stale reads, API lifecycle) + seeded-defect smoke;
 #                        the 600-budget sweep also exports its observed
 #                        lock sites and pool ops for the lint stage's
 #                        cross-checks
-#   8. lint sweep        oftt-lint over the whole workspace: zero
+#   9. lint sweep        oftt-lint over the whole workspace: zero
 #                        non-baselined findings, no stale baseline
 #                        entries, static lock graph must cover every
 #                        dynamically observed lock site, the static pool
@@ -24,29 +28,29 @@
 #                        op, the oftt-lint-v2 JSON must validate, and
 #                        each rule family must still fire on its seeded
 #                        fixture
-#   9. lint dataflow     flow-sensitive acceptance: each dataflow family
+#  10. lint dataflow     flow-sensitive acceptance: each dataflow family
 #                        (pool typestate, epoch stamping, conn DFA) must
 #                        fire its own rule on its seeded fixture, and the
 #                        audit sweep must have observed pool ops for the
 #                        static cross-check to be non-vacuous
-#  10. lint effects      interprocedural acceptance: the seeded
+#  11. lint effects      interprocedural acceptance: the seeded
 #                        diag→probe deadlock (split across a call
 #                        boundary) must be rediscovered by the
 #                        call-derived lock-order analysis under
 #                        --include-injected, and the bench-lint
 #                        throughput artifact must emit and validate as
 #                        oftt-bench-lint-v2
-#  11. wire smoke        two real oftt-node processes over loopback TCP:
+#  12. wire smoke        two real oftt-node processes over loopback TCP:
 #                        SIGKILL the primary, assert promotion within the
 #                        detection budget and restore-crc integrity
-#  12. saturation smoke  reduced reactor load gate: one max-rate stream
+#  13. saturation smoke  reduced reactor load gate: one max-rate stream
 #                        plus 128 concurrent streaming apps, asserting
 #                        the ≥ 7.86 MB/s aggregate floor, a fixed reactor
 #                        thread count, and zero protocol errors
-#  13. bench smoke       one-sample BENCH_checkpoint.json emit + reduced
+#  14. bench smoke       one-sample BENCH_checkpoint.json emit + reduced
 #                        BENCH_wire.json and BENCH_verify.json emits, all
 #                        schema-validated (fails on schema drift)
-#  14. campaign smoke    trimmed 20-seed scenario campaign (reboot loop +
+#  15. campaign smoke    trimmed 20-seed scenario campaign (reboot loop +
 #                        the seeded startup defect): every run goes
 #                        through the oftt-check invariant engine; any
 #                        violation, non-recovered seed, or missed
@@ -89,6 +93,9 @@ cargo test -q
 
 step "workspace tests"
 cargo test --workspace -q
+
+step "perfbench: build + own tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 step "oftt-check sweep (pair failover, 600-schedule budget)"
 cargo run -p oftt-check --release -q -- --scenario pair-failover --budget 600

@@ -1,35 +1,42 @@
 //! The unified bench-artifact schema validator.
 //!
 //! Every artifact CI emits — `BENCH_checkpoint.json`, `BENCH_wire.json`,
-//! `BENCH_verify.json`, and the `oftt-lint-v1` report — declares its
-//! schema in a top-level `"schema"` string and is checked here against
-//! both its shape and its acceptance thresholds. The `bench-validate`
-//! binary is a thin wrapper over [`validate`]; keeping the arms in one
-//! module means a new artifact adds a dispatch case instead of a fourth
-//! copy of the `require`/`require_number` scaffolding.
+//! `BENCH_verify.json`, `BENCH_lint.json`, `BENCH_campaign.json` and the
+//! `oftt-lint-v2` report — declares its schema in a top-level `"schema"`
+//! string and is checked here against both its shape and its acceptance
+//! thresholds. The `bench-validate` binary is a thin wrapper over
+//! [`validate`]; keeping the arms in one module means a new artifact adds
+//! a dispatch case instead of another copy of the
+//! `require`/`require_number` scaffolding. Only schemas a binary still
+//! emits have an arm: an artifact under a retired schema (the v1 wire,
+//! lint and bench-lint formats) is rejected as unknown.
 //!
 //! Per-schema acceptance rules:
 //!
 //! * `oftt-bench-checkpoint-v1` — the 10k-vars / 1%-locality cell must
 //!   clear the acceptance thresholds (speedup ≥ 5×, wire ratio ≥ 20×,
 //!   restore equality in every cell);
-//! * `oftt-bench-wire-v1` — the socket runtime must show the acceptance
+//! * `oftt-bench-wire-v2` — the socket runtime must show the acceptance
 //!   workload (10k vars at 1% locality) with zero data-frame sheds,
 //!   ≥ 20 SIGKILL failover samples, and promotion p99 inside the 3 s
-//!   detection budget;
-//! * `oftt-bench-wire-v2` — everything v1 requires, plus the reactor
-//!   cells: `checkpoint_stream` and `saturation` must ack checkpoints
-//!   with zero protocol errors, the saturation aggregate must clear
-//!   100× the paced v1 ship rate (≥ 7.86 MB/s), and the optimized
-//!   digest must not regress below the byte-at-a-time reference;
+//!   detection budget; the reactor cells `checkpoint_stream` and
+//!   `saturation` must ack checkpoints with zero protocol errors, the
+//!   saturation aggregate must clear 100× the paced single-link ship
+//!   rate (≥ 7.86 MB/s), and the optimized digest must not regress below
+//!   the byte-at-a-time reference;
 //! * `oftt-bench-verify-v1` — every exploration tier must come back clean
 //!   (zero violations, no lasso, not capped), the `default` tier must
 //!   exhaust a ≥ 10⁶-state space at ≥ 10k states/s, and the refinement
 //!   batch must include every export;
-//! * `oftt-lint-v1` — the static analyzer's workspace report: zero
+//! * `oftt-lint-v2` — the static analyzer's workspace report: zero
 //!   non-baselined findings, zero dynamic lock sites missing from the
-//!   static acquisition graph, and a scan that actually covered the
-//!   workspace (≥ 40 files);
+//!   static acquisition graph, a scan that actually covered the
+//!   workspace (≥ 40 files), dataflow counters above their floors, and
+//!   zero dynamic pool ops missing from the static pool-site inventory;
+//! * `oftt-bench-lint-v2` — the analyzer's throughput artifact: coverage
+//!   floors on files, functions, call edges, reactor reach and dataflow
+//!   counters, zero non-baselined findings and zero stale baseline
+//!   entries;
 //! * `oftt-bench-campaign-v1` — a campaign sweep's cross-seed
 //!   aggregates: every scenario's failover distribution must be ordered
 //!   (p50 ≤ p95 ≤ p99 ≤ max), availability in `[0, 1]`, and the
@@ -78,12 +85,9 @@ pub fn validate(doc: &Json) -> Vec<String> {
     }
     match require(doc, "schema", &mut errors).and_then(Json::as_str) {
         Some("oftt-bench-checkpoint-v1") => errors.extend(validate_checkpoint(doc)),
-        Some("oftt-bench-wire-v1") => errors.extend(validate_wire(doc)),
         Some("oftt-bench-wire-v2") => errors.extend(validate_wire_v2(doc)),
         Some("oftt-bench-verify-v1") => errors.extend(validate_verify(doc)),
-        Some("oftt-lint-v1") => errors.extend(validate_lint(doc)),
         Some("oftt-lint-v2") => errors.extend(validate_lint_v2(doc)),
-        Some("oftt-bench-lint-v1") => errors.extend(validate_bench_lint(doc)),
         Some("oftt-bench-lint-v2") => errors.extend(validate_bench_lint_v2(doc)),
         Some("oftt-bench-campaign-v1") => errors.extend(validate_campaign(doc)),
         Some(other) => errors.push(format!("unknown schema {other:?}")),
@@ -141,7 +145,43 @@ fn validate_checkpoint(doc: &Json) -> Vec<String> {
     errors
 }
 
-fn validate_wire(doc: &Json) -> Vec<String> {
+/// Shape and sanity of one windowed-streaming cell (`checkpoint_stream`
+/// or `saturation`). Returns the cell's `bytes_per_sec` for acceptance
+/// checks the caller applies.
+fn validate_stream_cell(doc: &Json, key: &str, errors: &mut Vec<String>) -> Option<f64> {
+    let cell = require(doc, key, errors)?;
+    require_number(cell, "conns", errors);
+    require_number(cell, "window", errors);
+    let io_threads = require_number(cell, "io_threads", errors);
+    require_number(cell, "ckpt_wire_bytes", errors);
+    require_number(cell, "duration_ms", errors);
+    let acked = require_number(cell, "ckpts_acked", errors);
+    require_number(cell, "ckpts_per_sec", errors);
+    let bytes_per_sec = require_number(cell, "bytes_per_sec", errors);
+    let p50 = require_number(cell, "rtt_p50_us", errors);
+    let p99 = require_number(cell, "rtt_p99_us", errors);
+    require_number(cell, "pool_hit_pct", errors);
+    if let Some(t) = io_threads {
+        if t < 1.0 {
+            errors.push(format!("{key}: io_threads {t} below 1"));
+        }
+    }
+    if acked == Some(0.0) {
+        errors.push(format!("{key}: zero checkpoints acknowledged"));
+    }
+    if let (Some(p50), Some(p99)) = (p50, p99) {
+        if p99 < p50 {
+            errors.push(format!("{key}: rtt p99 {p99:.1} below p50 {p50:.1}"));
+        }
+    }
+    match require_number(cell, "protocol_errors", errors) {
+        Some(e) if e > 0.0 => errors.push(format!("{key}: {e} protocol error(s) under load")),
+        _ => {}
+    }
+    bytes_per_sec
+}
+
+fn validate_wire_v2(doc: &Json) -> Vec<String> {
     let mut errors = Vec::new();
 
     if let Some(rtt) = require(doc, "rtt", &mut errors) {
@@ -206,51 +246,10 @@ fn validate_wire(doc: &Json) -> Vec<String> {
         }
     }
 
-    errors
-}
-
-/// Shape and sanity of one windowed-streaming cell (`checkpoint_stream`
-/// or `saturation`). Returns the cell's `bytes_per_sec` for acceptance
-/// checks the caller applies.
-fn validate_stream_cell(doc: &Json, key: &str, errors: &mut Vec<String>) -> Option<f64> {
-    let cell = require(doc, key, errors)?;
-    require_number(cell, "conns", errors);
-    require_number(cell, "window", errors);
-    let io_threads = require_number(cell, "io_threads", errors);
-    require_number(cell, "ckpt_wire_bytes", errors);
-    require_number(cell, "duration_ms", errors);
-    let acked = require_number(cell, "ckpts_acked", errors);
-    require_number(cell, "ckpts_per_sec", errors);
-    let bytes_per_sec = require_number(cell, "bytes_per_sec", errors);
-    let p50 = require_number(cell, "rtt_p50_us", errors);
-    let p99 = require_number(cell, "rtt_p99_us", errors);
-    require_number(cell, "pool_hit_pct", errors);
-    if let Some(t) = io_threads {
-        if t < 1.0 {
-            errors.push(format!("{key}: io_threads {t} below 1"));
-        }
-    }
-    if acked == Some(0.0) {
-        errors.push(format!("{key}: zero checkpoints acknowledged"));
-    }
-    if let (Some(p50), Some(p99)) = (p50, p99) {
-        if p99 < p50 {
-            errors.push(format!("{key}: rtt p99 {p99:.1} below p50 {p50:.1}"));
-        }
-    }
-    match require_number(cell, "protocol_errors", errors) {
-        Some(e) if e > 0.0 => errors.push(format!("{key}: {e} protocol error(s) under load")),
-        _ => {}
-    }
-    bytes_per_sec
-}
-
-fn validate_wire_v2(doc: &Json) -> Vec<String> {
-    let mut errors = validate_wire(doc);
     validate_stream_cell(doc, "checkpoint_stream", &mut errors);
     let sat_bytes = validate_stream_cell(doc, "saturation", &mut errors);
     // The reactor acceptance floor: the saturated aggregate must beat the
-    // paced v1 ship rate (~78.6 KB/s) by at least two orders of magnitude.
+    // paced single-link ship rate (~78.6 KB/s) by two orders of magnitude.
     if let Some(bytes) = sat_bytes {
         if bytes < 7_860_000.0 {
             errors.push(format!("saturation: {bytes:.0} B/s below the 7.86 MB/s acceptance floor"));
@@ -342,7 +341,7 @@ fn validate_verify(doc: &Json) -> Vec<String> {
     errors
 }
 
-fn validate_lint(doc: &Json) -> Vec<String> {
+fn validate_lint_v2(doc: &Json) -> Vec<String> {
     let mut errors = Vec::new();
     let files = require_number(doc, "files_scanned", &mut errors);
     require_number(doc, "suppressed", &mut errors);
@@ -390,14 +389,8 @@ fn validate_lint(doc: &Json) -> Vec<String> {
             _ => {}
         }
     }
-    errors
-}
-
-fn validate_lint_v2(doc: &Json) -> Vec<String> {
-    // v2 is v1 plus the flow-sensitive dataflow stage: everything the
-    // v1 report promised still holds, and on top of it the CFG/typestate
-    // counters must show the stage ran non-vacuously over the tree.
-    let mut errors = validate_lint(doc);
+    // The flow-sensitive dataflow stage: the CFG/typestate counters must
+    // show it ran non-vacuously over the tree.
     if let Some(dataflow) = require(doc, "dataflow", &mut errors) {
         let floors: &[(&str, f64)] = &[
             ("cfg_blocks", 1000.0),
@@ -429,10 +422,11 @@ fn validate_lint_v2(doc: &Json) -> Vec<String> {
     errors
 }
 
-fn validate_bench_lint(doc: &Json) -> Vec<String> {
+fn validate_bench_lint_v2(doc: &Json) -> Vec<String> {
     let mut errors = Vec::new();
     // Coverage floors: a scan that saw a toy-sized universe means the
-    // walker or the call-graph builder broke, not that the code shrank.
+    // walker, the call-graph builder or the flow-sensitive stage broke,
+    // not that the code shrank.
     let floors: &[(&str, f64)] = &[
         ("files_scanned", 40.0),
         ("functions", 500.0),
@@ -440,6 +434,10 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
         ("fixpoint_iterations", 2.0),
         ("reactor_roots", 1.0),
         ("reactor_reachable", 10.0),
+        ("cfg_blocks", 1000.0),
+        ("pool_sites", 3.0),
+        ("pool_tracked", 2.0),
+        ("dfa_transitions", 3.0),
     ];
     for &(key, floor) in floors {
         if let Some(n) = require_number(doc, key, &mut errors) {
@@ -456,32 +454,13 @@ fn validate_bench_lint(doc: &Json) -> Vec<String> {
     }
     require_number(doc, "suppressed", &mut errors);
     require_number(doc, "elapsed_ms", &mut errors);
+    require_number(doc, "dataflow_ms", &mut errors);
     match require_number(doc, "files_per_sec", &mut errors) {
         Some(n) if n <= 0.0 => errors.push("files_per_sec is not positive".into()),
         _ => {}
     }
-    errors
-}
-
-fn validate_bench_lint_v2(doc: &Json) -> Vec<String> {
-    // v1 floors plus the flow-sensitive coverage counters. A stale
-    // baseline entry is as much a rot signal as a missed finding: the
-    // defect it excused is gone, so the excuse must go too.
-    let mut errors = validate_bench_lint(doc);
-    let floors: &[(&str, f64)] = &[
-        ("cfg_blocks", 1000.0),
-        ("pool_sites", 3.0),
-        ("pool_tracked", 2.0),
-        ("dfa_transitions", 3.0),
-    ];
-    for &(key, floor) in floors {
-        if let Some(n) = require_number(doc, key, &mut errors) {
-            if n < floor {
-                errors.push(format!("{key} is {n}, below the coverage floor {floor}"));
-            }
-        }
-    }
-    require_number(doc, "dataflow_ms", &mut errors);
+    // A stale baseline entry is as much a rot signal as a missed finding:
+    // the defect it excused is gone, so the excuse must go too.
     match require_number(doc, "stale_baseline", &mut errors) {
         Some(n) if n > 0.0 => {
             errors.push(format!("{n} stale baseline entr(ies) match no current finding"));
@@ -627,82 +606,66 @@ mod tests {
         assert!(errors[0].contains("unknown schema"));
     }
 
-    fn bench_lint_doc(findings: &str, functions: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-bench-lint-v1",
-              "runs": 3,
-              "files_scanned": 164,
-              "functions": {functions},
-              "call_edges": 3600,
-              "fixpoint_iterations": 10,
-              "reactor_roots": 7,
-              "reactor_reachable": 60,
-              "findings": {findings},
-              "suppressed": 14,
-              "elapsed_ms": 120,
-              "files_per_sec": 1366
-            }}"#
-        )
+    fn bench_lint_doc() -> String {
+        r#"{
+          "schema": "oftt-bench-lint-v2",
+          "runs": 3,
+          "files_scanned": 170,
+          "functions": 1450,
+          "call_edges": 3700,
+          "fixpoint_iterations": 10,
+          "reactor_roots": 7,
+          "reactor_reachable": 60,
+          "cfg_blocks": 2400,
+          "dataflow_ms": 4,
+          "pool_sites": 5,
+          "pool_tracked": 3,
+          "dfa_transitions": 3,
+          "findings": 0,
+          "suppressed": 8,
+          "stale_baseline": 0,
+          "elapsed_ms": 120,
+          "files_per_sec": 1366
+        }"#
+        .to_string()
+    }
+
+    fn errors_with(doc: &str, from: &str, to: &str) -> Vec<String> {
+        assert!(doc.contains(from), "fixture lacks {from:?}");
+        validate(&parse(&doc.replace(from, to)).unwrap())
     }
 
     #[test]
     fn conforming_bench_lint_doc_passes() {
-        let doc = parse(&bench_lint_doc("0", "1415")).unwrap();
+        let doc = parse(&bench_lint_doc()).unwrap();
         assert_eq!(validate(&doc), Vec::<String>::new());
     }
 
     #[test]
     fn bench_lint_rejects_non_baselined_findings_and_thin_coverage() {
-        let doc = parse(&bench_lint_doc("2", "1415")).unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(&bench_lint_doc(), r#""findings": 0"#, r#""findings": 2"#);
         assert!(errors.iter().any(|e| e.contains("non-baselined")), "{errors:?}");
 
-        let doc = parse(&bench_lint_doc("0", "3")).unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(&bench_lint_doc(), r#""functions": 1450"#, r#""functions": 3"#);
         assert!(errors.iter().any(|e| e.contains("coverage floor")), "{errors:?}");
-    }
-
-    fn bench_lint_v2_doc(cfg_blocks: &str, stale: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-bench-lint-v2",
-              "runs": 3,
-              "files_scanned": 170,
-              "functions": 1450,
-              "call_edges": 3700,
-              "fixpoint_iterations": 10,
-              "reactor_roots": 7,
-              "reactor_reachable": 60,
-              "cfg_blocks": {cfg_blocks},
-              "dataflow_ms": 4,
-              "pool_sites": 5,
-              "pool_tracked": 3,
-              "dfa_transitions": 3,
-              "findings": 0,
-              "suppressed": 8,
-              "stale_baseline": {stale},
-              "elapsed_ms": 120,
-              "files_per_sec": 1366
-            }}"#
-        )
-    }
-
-    #[test]
-    fn conforming_bench_lint_v2_doc_passes() {
-        let doc = parse(&bench_lint_v2_doc("2400", "0")).unwrap();
-        assert_eq!(validate(&doc), Vec::<String>::new());
     }
 
     #[test]
     fn bench_lint_v2_rejects_thin_dataflow_and_stale_baseline() {
-        let doc = parse(&bench_lint_v2_doc("12", "0")).unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(&bench_lint_doc(), r#""cfg_blocks": 2400"#, r#""cfg_blocks": 12"#);
         assert!(errors.iter().any(|e| e.contains("cfg_blocks")), "{errors:?}");
 
-        let doc = parse(&bench_lint_v2_doc("2400", "2")).unwrap();
-        let errors = validate(&doc);
+        let errors =
+            errors_with(&bench_lint_doc(), r#""stale_baseline": 0"#, r#""stale_baseline": 2"#);
         assert!(errors.iter().any(|e| e.contains("stale baseline")), "{errors:?}");
+    }
+
+    #[test]
+    fn retired_v1_schemas_are_rejected_as_unknown() {
+        for schema in ["oftt-bench-wire-v1", "oftt-lint-v1", "oftt-bench-lint-v1"] {
+            let doc = parse(&format!(r#"{{"schema": "{schema}"}}"#)).unwrap();
+            assert_eq!(validate(&doc), [format!("unknown schema {schema:?}")]);
+        }
     }
 
     fn wire_v2_doc(sat_bytes_per_sec: &str, protocol_errors: &str) -> String {
@@ -764,90 +727,61 @@ mod tests {
         assert!(errors.iter().any(|e| e.contains("protocol error")), "{errors:?}");
     }
 
+    fn lint_doc() -> String {
+        r#"{
+          "schema": "oftt-lint-v2",
+          "files_scanned": 90,
+          "suppressed": 2,
+          "findings": [],
+          "lock_graph": {"locks": 7, "edges": 3},
+          "dynamic_locks": {"checked": 2, "uncovered": 0},
+          "dataflow": {"cfg_blocks": 2400, "dataflow_ms": 4, "pool_sites": 5,
+                       "pool_tracked": 3, "dfa_transitions": 3},
+          "dynamic_pools": {"checked": 2, "uncovered": 0}
+        }"#
+        .to_string()
+    }
+
     #[test]
     fn clean_lint_report_conforms() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 2,
-              "findings": [],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
+        let doc = parse(&lint_doc()).unwrap();
         assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
     }
 
     #[test]
     fn lint_report_with_findings_fails_acceptance() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 0,
-              "findings": [{"rule": "panic-path", "file": "a.rs", "line": 3,
-                            "message": "unwrap on a hot path"}],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
+        let finding = r#""findings": [{"rule": "panic-path", "file": "a.rs", "line": 3,
+                                       "message": "unwrap on a hot path"}]"#;
+        let errors = errors_with(&lint_doc(), r#""findings": []"#, finding);
         assert!(errors.iter().any(|e| e.contains("non-baselined finding")), "{errors:?}");
     }
 
     #[test]
     fn lint_report_with_uncovered_dynamic_lock_fails() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 90,
-              "suppressed": 0,
-              "findings": [],
-              "lock_graph": {"locks": 7, "edges": 3},
-              "dynamic_locks": {"checked": 2, "uncovered": 1}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
-        assert!(errors.iter().any(|e| e.contains("missing")), "{errors:?}");
-    }
-
-    fn lint_v2_doc(dfa_transitions: &str, pool_uncovered: &str) -> String {
-        format!(
-            r#"{{
-              "schema": "oftt-lint-v2",
-              "files_scanned": 90,
-              "suppressed": 2,
-              "findings": [],
-              "lock_graph": {{"locks": 7, "edges": 3}},
-              "dynamic_locks": {{"checked": 2, "uncovered": 0}},
-              "dataflow": {{"cfg_blocks": 2400, "dataflow_ms": 4, "pool_sites": 5,
-                           "pool_tracked": 3, "dfa_transitions": {dfa_transitions}}},
-              "dynamic_pools": {{"checked": 2, "uncovered": {pool_uncovered}}}
-            }}"#
-        )
-    }
-
-    #[test]
-    fn clean_lint_v2_report_conforms() {
-        let doc = parse(&lint_v2_doc("3", "0")).unwrap();
-        assert!(validate(&doc).is_empty(), "{:?}", validate(&doc));
+        let errors = errors_with(
+            &lint_doc(),
+            r#""dynamic_locks": {"checked": 2, "uncovered": 0}"#,
+            r#""dynamic_locks": {"checked": 2, "uncovered": 1}"#,
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("lock site") && e.contains("missing")),
+            "{errors:?}"
+        );
     }
 
     #[test]
     fn lint_v2_report_with_thin_dfa_coverage_fails() {
-        let doc = parse(&lint_v2_doc("0", "0")).unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(&lint_doc(), r#""dfa_transitions": 3"#, r#""dfa_transitions": 0"#);
         assert!(errors.iter().any(|e| e.contains("dfa_transitions")), "{errors:?}");
     }
 
     #[test]
     fn lint_v2_report_with_uncovered_dynamic_pool_op_fails() {
-        let doc = parse(&lint_v2_doc("3", "1")).unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(
+            &lint_doc(),
+            r#""dynamic_pools": {"checked": 2, "uncovered": 0}"#,
+            r#""dynamic_pools": {"checked": 2, "uncovered": 1}"#,
+        );
         assert!(
             errors.iter().any(|e| e.contains("pool op") && e.contains("missing")),
             "{errors:?}"
@@ -939,18 +873,7 @@ mod tests {
 
     #[test]
     fn thin_lint_scan_is_rejected() {
-        let doc = parse(
-            r#"{
-              "schema": "oftt-lint-v1",
-              "files_scanned": 3,
-              "suppressed": 0,
-              "findings": [],
-              "lock_graph": {"locks": 1, "edges": 0},
-              "dynamic_locks": {"checked": 2, "uncovered": 0}
-            }"#,
-        )
-        .unwrap();
-        let errors = validate(&doc);
+        let errors = errors_with(&lint_doc(), r#""files_scanned": 90"#, r#""files_scanned": 3"#);
         assert!(errors.iter().any(|e| e.contains("files scanned")), "{errors:?}");
     }
 }

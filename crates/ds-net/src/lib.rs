@@ -7,8 +7,9 @@
 //!
 //! Processes are runtime-neutral actors ([`process::Process`]) programmed
 //! against [`process::ProcessEnv`]; the deterministic simulation backend
-//! lives in [`cluster`], and a thread-based live backend in [`live`] runs the
-//! same actor code in real time.
+//! lives in [`cluster`], and the thread-based actor host in [`host`] runs the
+//! same actor code in real time — on its own as an in-process runtime, or
+//! composed by the `oftt-wire` TCP runtime as each node's local host.
 //!
 //! ## Example: a two-node pair with a fault
 //!
@@ -32,8 +33,8 @@ pub mod cluster;
 pub mod endpoint;
 pub mod error;
 pub mod fault;
+pub mod host;
 pub mod link;
-pub mod live;
 pub mod message;
 pub mod node;
 pub mod process;

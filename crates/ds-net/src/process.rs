@@ -2,8 +2,8 @@
 //!
 //! Application and middleware components implement [`Process`]. Handlers
 //! receive a `&mut dyn ProcessEnv` — in simulation this is backed by the
-//! deterministic cluster ([`crate::cluster`]); the live runtime
-//! ([`crate::live`]) backs it with real threads and channels, so the same
+//! deterministic cluster ([`crate::cluster`]); the real-thread host
+//! ([`crate::host`]) backs it with real threads and channels, so the same
 //! OFTT protocol code runs in both.
 
 use ds_sim::prelude::{AccessKind, SimDuration, SimRng, SimTime, TraceCategory};

@@ -1,8 +1,9 @@
 //! Runtime-neutral plumbing shared by the real-time backends.
 //!
-//! Both the threads-only live runtime ([`crate::live`]) and the TCP wire
-//! runtime (`oftt-wire`) host the same [`Process`] actors against real time.
-//! This module factors out what they share so the actor loop exists once:
+//! The real-thread actor host ([`crate::host`]) runs [`Process`] actors
+//! against real time, either on its own or inside the TCP wire runtime
+//! (`oftt-wire`). This module holds what the actors and their routers
+//! share, so the actor loop exists once:
 //!
 //! - [`NodeRouter`]: the routing surface a hosted actor needs from its
 //!   runtime (clock, envelope routing, trace, service control).
@@ -36,9 +37,9 @@ pub enum Control {
 
 /// The services an actor-hosting runtime provides to [`run_actor`].
 ///
-/// The live runtime routes envelopes through in-process channels; the wire
-/// runtime routes node-local envelopes the same way and encodes the rest
-/// onto TCP connections. The actor loop cannot tell the difference.
+/// The in-process host routes envelopes through in-process channels; the
+/// wire runtime routes node-local envelopes the same way and encodes the
+/// rest onto TCP connections. The actor loop cannot tell the difference.
 pub trait NodeRouter: Send + Sync {
     /// Wall-derived time since the runtime started.
     fn now(&self) -> SimTime;
@@ -150,9 +151,9 @@ impl ProcessEnv for RouterEnv {
 
 /// Drives one actor against real time: fires due timers, then blocks on the
 /// mailbox until the next deadline. Runs until the actor exits, is killed,
-/// or its mailbox sender side is dropped. Shared verbatim by the live and
-/// wire runtimes. `generation` identifies this registration and is echoed
-/// in the final [`NodeRouter::actor_exited`] call.
+/// or its mailbox sender side is dropped. Every hosted actor runs on it,
+/// in-process or over the wire. `generation` identifies this registration
+/// and is echoed in the final [`NodeRouter::actor_exited`] call.
 pub fn run_actor(
     mut actor: Box<dyn Process>,
     endpoint: Endpoint,

@@ -6,10 +6,11 @@
 //! stops mid-write, a severed connection really loses in-flight frames.
 //!
 //! The crate implements [`ds_net::process::ProcessEnv`] routing over
-//! sockets, so a node hosts its local services exactly like
-//! [`ds_net::live::LiveNet`] does (same [`ds_net::transport::run_actor`]
-//! loop), and envelopes addressed to another node are encoded onto a
-//! supervised per-peer TCP link instead of an in-process channel.
+//! sockets: a node hosts its local services on one
+//! [`ds_net::host::LocalHost`] (the same host and
+//! [`ds_net::transport::run_actor`] loop as the in-process runtime), and
+//! envelopes addressed to another node are encoded onto a supervised
+//! per-peer TCP link instead of an in-process channel.
 //!
 //! Layers, bottom up:
 //!

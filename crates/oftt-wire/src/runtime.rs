@@ -1,29 +1,26 @@
 //! [`WireNet`]: the node runtime that hosts OFTT actors over TCP.
 //!
-//! One `WireNet` per OS process hosts the services of **one node**.
-//! Local routing works exactly like [`ds_net::live::LiveNet`] (same
-//! [`run_actor`] loop, same mailbox semantics, same drop accounting);
-//! envelopes addressed to another node are encoded by the [`WireCodec`]
-//! and queued on the [`Supervisor`]'s link to that peer. The actors
-//! cannot tell which backend they are on — that is the point.
+//! One `WireNet` per OS process hosts the services of **one node** on a
+//! [`LocalHost`] — the same host, [`run_actor`] loop, mailbox semantics
+//! and drop accounting as the in-process runtime. What the wire adds is
+//! routing: envelopes addressed to another node are encoded by the
+//! [`WireCodec`] and queued on the [`Supervisor`]'s link to that peer. The
+//! actors cannot tell which backend they are on — that is the point.
 //!
 //! [`run_actor`]: ds_net::transport::run_actor
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use ds_net::endpoint::{Endpoint, NodeId};
+use ds_net::host::LocalHost;
 use ds_net::message::Envelope;
 use ds_net::process::ProcessFactory;
-use ds_net::transport::{
-    run_actor, Control, NodeRouter, PeerHealth, TransportEvent, TransportReport,
-};
-use ds_sim::prelude::{SimTime, Trace, TraceCategory, WallClock};
+use ds_net::transport::{NodeRouter, PeerHealth, TransportEvent, TransportReport};
+use ds_sim::prelude::{SimTime, Trace, TraceCategory, TraceEntry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::codec::WireCodec;
@@ -32,17 +29,7 @@ use crate::supervisor::{Supervisor, WireConfig, WireHandler};
 struct WireShared {
     node: NodeId,
     peers: HashSet<NodeId>,
-    /// Live mailboxes, each tagged with the generation of the spawn that
-    /// registered it (a killed actor exiting late must not retire a
-    /// successor's registration).
-    mailboxes: RwLock<HashMap<Endpoint, (Sender<Control>, u64)>>,
-    specs: Mutex<HashMap<Endpoint, ProcessFactory>>,
-    trace: Mutex<Trace>,
-    clock: WallClock,
-    seed: u64,
-    counter: Mutex<u64>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    dropped: AtomicU64,
+    host: LocalHost,
     unroutable: AtomicU64,
     event_subs: Mutex<Vec<Endpoint>>,
     supervisor: RwLock<Option<Supervisor>>,
@@ -50,71 +37,14 @@ struct WireShared {
 }
 
 impl WireShared {
-    fn note_drop(&self, envelope: &Envelope) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        let now = self.clock.now();
-        self.trace.lock().record(
-            now,
-            TraceCategory::Net,
-            format!("wire drop {} -> {}: no local mailbox", envelope.from, envelope.to),
-        );
-    }
-
-    fn deliver_local(&self, envelope: Envelope) {
-        let target = self.mailboxes.read().get(&envelope.to).map(|(tx, _)| tx.clone());
-        match target {
-            Some(tx) => {
-                if let Err(err) = tx.send(Control::Deliver(envelope)) {
-                    let crossbeam::channel::SendError(control) = err;
-                    if let Control::Deliver(envelope) = control {
-                        self.note_drop(&envelope);
-                    }
-                }
-            }
-            None => self.note_drop(&envelope),
-        }
-    }
-
-    fn spawn(self: &Arc<Self>, endpoint: Endpoint) {
-        let actor = {
-            let specs = self.specs.lock();
-            let Some(factory) = specs.get(&endpoint) else { return };
-            factory()
-        };
-        let (tx, rx) = unbounded();
-        let generation = {
-            let mut c = self.counter.lock();
-            *c += 1;
-            *c
-        };
-        self.mailboxes.write().insert(endpoint.clone(), (tx, generation));
-        let router: Arc<dyn NodeRouter> = Arc::new(ArcRouter(Arc::clone(self)));
-        let seed = self.seed.wrapping_add(generation);
-        let handle =
-            std::thread::spawn(move || run_actor(actor, endpoint, router, seed, generation, rx));
-        self.handles.lock().push(handle);
-    }
-
-    fn kill(&self, endpoint: &Endpoint) {
-        if let Some((tx, _)) = self.mailboxes.write().remove(endpoint) {
-            let _ = tx.send(Control::Kill);
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
     fn route(&self, envelope: Envelope) {
         if envelope.to.node == self.node {
-            self.deliver_local(envelope);
+            self.host.deliver(envelope);
             return;
         }
         if !self.peers.contains(&envelope.to.node) {
             self.unroutable.fetch_add(1, Ordering::Relaxed);
-            let now = self.clock.now();
-            self.trace.lock().record(
-                now,
+            self.host.record(
                 TraceCategory::Net,
                 format!(
                     "wire drop {} -> {}: node {} has no configured link",
@@ -129,77 +59,65 @@ impl WireShared {
         }
     }
 
-    fn record_trace(&self, category: TraceCategory, message: String) {
-        let now = self.clock.now();
-        self.trace.lock().record(now, category, message);
-    }
-
-    fn kill_local(&self, target: &Endpoint) {
-        if target.node == self.node {
-            self.kill(target);
-        } else {
-            self.record_trace(
+    /// `true` if `target` is on this node; traces the refused `action`
+    /// otherwise (a node can only kill or restart its own services).
+    fn is_local(&self, target: &Endpoint, action: &str) -> bool {
+        let local = target.node == self.node;
+        if !local {
+            self.host.record(
                 TraceCategory::Net,
-                format!("wire: cannot kill {target}: not on node {}", self.node),
+                format!("wire: cannot {action} {target}: not on node {}", self.node),
             );
         }
+        local
     }
 }
 
 impl WireHandler for WireShared {
     fn deliver(&self, envelope: Envelope) {
-        self.deliver_local(envelope);
+        self.host.deliver(envelope);
     }
 
     fn peer_event(&self, event: TransportEvent) {
         let subs = self.event_subs.lock().clone();
         let from = Endpoint::new(self.node, "__wire");
         for to in subs {
-            self.deliver_local(Envelope::new(from.clone(), to, event));
+            self.host.deliver(Envelope::new(from.clone(), to, event));
         }
     }
 
     fn record(&self, category: TraceCategory, message: String) {
-        self.record_trace(category, message);
+        self.host.record(category, message);
     }
 }
 
-/// Router handed to actors: wraps the `Arc` so `restart_service` can
-/// spawn (spawning needs the `Arc`, which a bare `&self` method on
-/// `WireShared` cannot recover).
+/// Router handed to actors: the [`LocalHost`]'s, plus the remote branch
+/// of `route` and the local-node guard on service control. It wraps the
+/// `Arc` so `restart_service` can hand the restarted actor a router too.
 struct ArcRouter(Arc<WireShared>);
 
 impl NodeRouter for ArcRouter {
     fn now(&self) -> SimTime {
-        self.0.now()
+        self.0.host.now()
     }
     fn route(&self, envelope: Envelope) {
         self.0.route(envelope);
     }
     fn record(&self, category: TraceCategory, message: String) {
-        self.0.record_trace(category, message);
+        self.0.host.record(category, message);
     }
     fn kill_service(&self, target: &Endpoint) {
-        self.0.kill_local(target);
+        if self.0.is_local(target, "kill") {
+            self.0.host.kill(target);
+        }
     }
     fn restart_service(&self, target: &Endpoint) {
-        if target.node != self.0.node {
-            self.0.record_trace(
-                TraceCategory::Net,
-                format!("wire: cannot restart {target}: not on node {}", self.0.node),
-            );
-            return;
+        if self.0.is_local(target, "restart") {
+            self.0.host.restart(target, Arc::new(ArcRouter(Arc::clone(&self.0))));
         }
-        if self.0.mailboxes.read().contains_key(target) {
-            return;
-        }
-        self.0.spawn(target.clone());
     }
     fn actor_exited(&self, endpoint: &Endpoint, generation: u64) {
-        let mut mailboxes = self.0.mailboxes.write();
-        if mailboxes.get(endpoint).is_some_and(|(_, g)| *g == generation) {
-            mailboxes.remove(endpoint);
-        }
+        self.0.host.actor_exited(endpoint, generation);
     }
 }
 
@@ -218,14 +136,7 @@ impl WireNet {
         let shared = Arc::new(WireShared {
             node: config.node,
             peers: config.peers.iter().map(|(peer, _)| *peer).collect(),
-            mailboxes: RwLock::new(HashMap::new()),
-            specs: Mutex::new(HashMap::new()),
-            trace: Mutex::new(Trace::new()),
-            clock: WallClock::new(),
-            seed,
-            counter: Mutex::new(0),
-            handles: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
+            host: LocalHost::new(seed),
             unroutable: AtomicU64::new(0),
             event_subs: Mutex::new(Vec::new()),
             supervisor: RwLock::new(None),
@@ -249,22 +160,23 @@ impl WireNet {
 
     /// Registers a service spec (not started yet).
     pub fn register(&mut self, endpoint: Endpoint, factory: ProcessFactory) {
-        self.shared.specs.lock().insert(endpoint, factory);
+        self.shared.host.register(endpoint, factory);
     }
 
     /// Starts a registered service on its own thread.
     pub fn start(&mut self, endpoint: &Endpoint) {
-        self.shared.spawn(endpoint.clone());
+        let router = Arc::new(ArcRouter(Arc::clone(&self.shared)));
+        self.shared.host.spawn(endpoint.clone(), router);
     }
 
     /// Kills a running local service (no notification to the victim).
     pub fn kill(&mut self, endpoint: &Endpoint) {
-        self.shared.kill(endpoint);
+        self.shared.host.kill(endpoint);
     }
 
     /// `true` if the local service currently has a live mailbox.
     pub fn is_running(&self, endpoint: &Endpoint) -> bool {
-        self.shared.mailboxes.read().contains_key(endpoint)
+        self.shared.host.is_running(endpoint)
     }
 
     /// Injects a message from an external driver (local or remote
@@ -276,12 +188,18 @@ impl WireNet {
 
     /// Copies out the trace recorded so far.
     pub fn trace_snapshot(&self) -> Trace {
-        self.shared.trace.lock().clone()
+        self.shared.host.trace_snapshot()
+    }
+
+    /// Copies out only the trace entries after the first `cursor` ones
+    /// (see [`LocalHost::trace_since`]).
+    pub fn trace_since(&self, cursor: usize) -> Vec<TraceEntry> {
+        self.shared.host.trace_since(cursor)
     }
 
     /// Envelopes dropped locally because no mailbox could accept them.
     pub fn dropped_count(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.shared.host.dropped_count()
     }
 
     /// Envelopes dropped because their destination node has no link.
@@ -291,7 +209,7 @@ impl WireNet {
 
     /// Milliseconds since the runtime started (live wall time).
     pub fn now(&self) -> SimTime {
-        self.shared.clock.now()
+        self.shared.host.now()
     }
 
     /// Per-peer link health from the supervisor.
@@ -330,7 +248,7 @@ impl WireNet {
     /// `monitor` (which may live on a peer node).
     pub fn start_transport_reporter(&mut self, monitor: Endpoint, period: Duration) {
         let shared = Arc::clone(&self.shared);
-        let handle = std::thread::spawn(move || loop {
+        self.shared.host.spawn_helper(move || loop {
             let mut slept = Duration::ZERO;
             while slept < period {
                 if shared.shutting_down.load(Ordering::Relaxed) {
@@ -347,24 +265,16 @@ impl WireNet {
                     None => return,
                 }
             };
-            let report = TransportReport { node: shared.node, peers, at: shared.clock.now() };
+            let report = TransportReport { node: shared.node, peers, at: shared.host.now() };
             let from = Endpoint::new(shared.node, "__wire");
             shared.route(Envelope::new(from, monitor.clone(), report));
         });
-        self.shared.handles.lock().push(handle);
     }
 
     /// Stops every service, the reporter, and the socket layer.
     pub fn shutdown(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        let endpoints: Vec<Endpoint> = self.shared.mailboxes.read().keys().cloned().collect();
-        for ep in endpoints {
-            self.shared.kill(&ep);
-        }
-        let handles: Vec<JoinHandle<()>> = self.shared.handles.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.shared.host.shutdown();
         // Taking the supervisor out breaks the WireShared <-> Supervisor
         // Arc cycle and joins the socket threads.
         let supervisor = self.shared.supervisor.write().take();

@@ -102,8 +102,9 @@ pub use role::Role;
 
 #[cfg(test)]
 mod thread_safety_tests {
-    //! C-SEND-SYNC: the types that cross threads in the live runtime must
-    //! stay `Send` (a regression here would silently break `ds_net::live`).
+    //! C-SEND-SYNC: the types that cross threads in the real-thread host
+    //! must stay `Send` (a regression here would silently break
+    //! `ds_net::host`).
 
     fn assert_send<T: Send>() {}
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ds_net::endpoint::{Endpoint, NodeId};
-use ds_net::live::LiveNet;
+use ds_net::host::LocalHost;
 use ds_sim::prelude::SimDuration;
 use oftt::checkpoint::VarSet;
 use oftt::config::{engine_endpoint, OfttConfig, Pair, RecoveryRule};
@@ -77,7 +77,7 @@ fn wait_for(cond: impl Fn() -> bool, timeout: Duration) -> bool {
 }
 
 struct LiveRig {
-    net: LiveNet,
+    net: LocalHost,
     a: NodeId,
     b: NodeId,
     probes: [Arc<Mutex<EngineProbe>>; 2],
@@ -88,7 +88,7 @@ fn build_live(seed: u64) -> LiveRig {
     let (a, b) = (NodeId(0), NodeId(1));
     let pair = Pair::new(a, b);
     let config = live_config(pair);
-    let mut net = LiveNet::new(seed);
+    let net = LocalHost::new(seed);
     let probes = [
         Arc::new(Mutex::new(EngineProbe::default())),
         Arc::new(Mutex::new(EngineProbe::default())),
@@ -125,7 +125,7 @@ fn build_live(seed: u64) -> LiveRig {
 
 #[test]
 fn live_pair_elects_one_primary_and_counts() {
-    let mut rig = build_live(1);
+    let rig = build_live(1);
     assert!(
         wait_for(
             || {
@@ -156,7 +156,7 @@ fn live_pair_elects_one_primary_and_counts() {
 
 #[test]
 fn live_primary_kill_moves_the_application() {
-    let mut rig = build_live(2);
+    let rig = build_live(2);
     assert!(wait_for(
         || rig.probes.iter().any(|p| p.lock().current_role() == Some(Role::Primary)),
         Duration::from_secs(5)
@@ -197,7 +197,7 @@ fn live_external_messages_reach_the_active_copy() {
     // Posting to both copies' endpoints must not panic or wedge a thread:
     // the active FTIM hands the message to the app, the inactive one drops
     // it.
-    let mut rig = build_live(3);
+    let rig = build_live(3);
     assert!(wait_for(
         || rig.probes.iter().any(|p| p.lock().current_role() == Some(Role::Primary)),
         Duration::from_secs(5)
