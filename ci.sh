@@ -161,6 +161,14 @@ for fixture in crates/oftt-lint/fixtures/*.rs; do
         false
     fi
 done
+# The drift fixture is one defect across two files (an annotated module
+# and the helper it calls), so its directory is scanned as one set.
+out=$(./target/release/oftt-lint crates/oftt-lint/fixtures/drift/*.rs 2>&1) && rc=0 || rc=$?
+if [ "$rc" -ne 2 ] || ! printf '%s\n' "$out" | grep -q "\[annotation-drift\]"; then
+    printf 'fixture drift/: expected [annotation-drift] finding (exit 2), got exit %s:\n%s\n' \
+        "$rc" "$out" >&2
+    false
+fi
 cargo test -p oftt-lint -q
 
 step "lint-dataflow: flow-sensitive families fire + pool cross-check is live"

@@ -1,7 +1,5 @@
 //! Benchmark harness for the OFTT reproduction.
 //!
-//! * `benches/` — criterion microbenches: marshaling, checkpoint machinery,
-//!   simulator throughput, end-to-end scenario wall time.
 //! * `src/bin/oftt_experiments.rs` — regenerates every table in
 //!   EXPERIMENTS.md (`cargo run -p bench --release --bin oftt-experiments`).
 //! * `src/bin/bench_checkpoint.rs` — emits `BENCH_checkpoint.json`, the

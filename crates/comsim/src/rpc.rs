@@ -242,11 +242,6 @@ impl ObjectServer {
     pub fn new(object: ComObject) -> Self {
         ObjectServer { object, trace_calls: false }
     }
-
-    /// Access to the hosted object (for in-process composition).
-    pub fn object_mut(&mut self) -> &mut ComObject {
-        &mut self.object
-    }
 }
 
 impl Process for ObjectServer {

@@ -656,11 +656,6 @@ impl ClusterSim {
         self.sim.set_causality_recording(on);
     }
 
-    /// The causality log recorded so far.
-    pub fn causality_log(&self) -> &CausalityLog {
-        self.sim.causality().log()
-    }
-
     /// Takes the causality log, leaving an empty one.
     pub fn take_causality_log(&mut self) -> CausalityLog {
         self.sim.causality_mut().take_log()

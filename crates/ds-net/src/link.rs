@@ -132,15 +132,6 @@ impl Link {
         self.paths[index].state = state;
     }
 
-    /// State of one path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn path_state(&self, index: usize) -> PathState {
-        self.paths[index].state
-    }
-
     /// Retunes latency, jitter, and bandwidth on every path, keeping each
     /// path's loss probability and up/down state. This is the fault layer's
     /// handle for degraded-but-alive media (saturated switch, flow-controlled
@@ -156,11 +147,6 @@ impl Link {
     /// Marks the whole link partitioned (no path passes traffic) or heals it.
     pub fn set_partitioned(&mut self, partitioned: bool) {
         self.partitioned = partitioned;
-    }
-
-    /// `true` if the link is administratively partitioned.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
     }
 
     /// `true` if at least one path is up and the link is not partitioned.

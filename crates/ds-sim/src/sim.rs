@@ -264,11 +264,6 @@ impl<W> Sim<W> {
         &mut self.trace
     }
 
-    /// The deterministic random source (for setup-time draws).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
         self.executed

@@ -320,6 +320,34 @@ mod tests {
     }
 
     #[test]
+    fn retransmission_after_consumption_is_dropped() {
+        let mut fx = fixture(24);
+        let (a, b) = (fx.a, fx.b);
+        // A slow, jitter-free link opens a window between the transfer's
+        // arrival at b (~1.1 s) and b's ack leaving: a partition over that
+        // window loses the ack, so a resends after b's consumer took the
+        // message.
+        let slow =
+            Fault::TuneLink { a, b, latency_us: 100_000, jitter_us: 0, bandwidth_bps: 12_500_000 };
+        inject(&mut fx.cs, SimTime::ZERO, slow);
+        inject(&mut fx.cs, SimTime::from_millis(1_050), Fault::Partition(a, b));
+        inject(&mut fx.cs, SimTime::from_millis(1_400), Fault::Heal(a, b));
+        add_producer(&mut fx, a, QueueAddress::new(b, "inbox"), 1);
+        let seen = add_consumer(&mut fx, b, "inbox");
+        fx.cs.start();
+        fx.cs.run_until(SimTime::from_millis(1_400));
+        assert_eq!(*seen.lock(), ["msg-0"], "consumed before any retransmission");
+        assert_eq!(fx.stats_a.lock().transfers_acked, 0, "the ack was lost");
+        assert_eq!(fx.stats_b.lock().duplicates_dropped, 0);
+        fx.cs.run_until(SimTime::from_secs(5));
+        assert_eq!(*seen.lock(), ["msg-0"], "the retransmission must not be redelivered");
+        assert_eq!(fx.stats_b.lock().delivered, 1);
+        assert!(fx.stats_a.lock().retransmissions > 0);
+        assert!(fx.stats_b.lock().duplicates_dropped > 0);
+        assert_eq!(fx.stats_a.lock().transfers_acked, 1, "the resent transfer is acked");
+    }
+
+    #[test]
     fn messages_survive_destination_outage() {
         let mut fx = fixture(23);
         let (a, b) = (fx.a, fx.b);

@@ -9,7 +9,8 @@
 //! * **Store-and-forward** between per-node [`manager::QueueManager`]s with
 //!   ack/retry — the sender holds a message until the destination manager
 //!   acknowledges it.
-//! * **Exactly-once acceptance** via receiver-side dedup of message ids.
+//! * **Exactly-once acceptance**: the receiver's per-(queue, origin)
+//!   sequence cursor drops retransmissions of anything already accepted.
 //! * **TTL + dead-letter queue** for undeliverable messages.
 //! * **Push delivery** to an attached consumer with redelivery on silence;
 //!   *last attach wins*, so a newly promoted primary re-attaches and

@@ -223,18 +223,10 @@ impl QueueManager {
         }
     }
 
-    /// Messages currently parked in the dead-letter queue.
-    pub fn dead_letter_len(&self) -> usize {
-        self.dead_letter.len()
-    }
-
     fn store(&mut self, queue: &QueueName, msg: QueueMessage, now: SimTime) {
         let q = self.queues.entry(queue.clone()).or_default();
         match q.accept(msg.clone(), now) {
             AcceptOutcome::Stored => {}
-            AcceptOutcome::Duplicate => {
-                self.stats.lock().duplicates_dropped += 1;
-            }
             AcceptOutcome::Expired => {
                 self.dead_letter.push(msg);
                 self.stats.lock().dead_lettered += 1;

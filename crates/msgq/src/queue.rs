@@ -3,7 +3,7 @@
 
 // oftt-lint: nonblocking
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use comsim::buf::Bytes;
@@ -111,12 +111,13 @@ impl QueueMessage {
     }
 }
 
-/// One local queue: FIFO of pending messages plus the dedup set of every
-/// message id ever accepted.
+/// One local queue: the FIFO of pending messages. It keeps no dedup state
+/// of its own: the manager's per-(queue, origin) ordering cursor only moves
+/// forward, so it hands each message to the queue at most once and drops
+/// retransmissions before they get here.
 #[derive(Debug, Default)]
 pub struct LocalQueue {
     pending: VecDeque<QueueMessage>,
-    seen: HashSet<MessageId>,
 }
 
 /// Outcome of offering a message to a local queue.
@@ -124,8 +125,6 @@ pub struct LocalQueue {
 pub enum AcceptOutcome {
     /// Stored for delivery.
     Stored,
-    /// Recognized as a duplicate retransmission and dropped.
-    Duplicate,
     /// Already expired on arrival; routed to the dead-letter queue.
     Expired,
 }
@@ -136,12 +135,8 @@ impl LocalQueue {
         LocalQueue::default()
     }
 
-    /// Offers a message, enforcing exactly-once acceptance and TTL.
+    /// Offers a message, enforcing its TTL.
     pub fn accept(&mut self, msg: QueueMessage, now: SimTime) -> AcceptOutcome {
-        if self.seen.contains(&msg.id) {
-            return AcceptOutcome::Duplicate;
-        }
-        self.seen.insert(msg.id);
         if msg.is_expired(now) {
             return AcceptOutcome::Expired;
         }
@@ -195,11 +190,6 @@ impl LocalQueue {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
-
-    /// Total distinct messages ever accepted.
-    pub fn seen_count(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 #[cfg(test)]
@@ -226,18 +216,6 @@ mod tests {
             assert_eq!(q.pop().unwrap().id.seq, seq);
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn duplicates_are_dropped_even_after_consumption() {
-        let mut q = LocalQueue::new();
-        let m = msg(1, SimTime::MAX);
-        assert_eq!(q.accept(m.clone(), SimTime::ZERO), AcceptOutcome::Stored);
-        assert_eq!(q.accept(m.clone(), SimTime::ZERO), AcceptOutcome::Duplicate);
-        q.pop();
-        // Retransmission arriving after delivery must still be recognized.
-        assert_eq!(q.accept(m, SimTime::ZERO), AcceptOutcome::Duplicate);
-        assert_eq!(q.seen_count(), 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ds_sim::causality::ApiEvent;
-use oftt_check::parse::{Event, EventKind};
+use oftt_check::parse::{node_of, Event, EventKind};
 
 use crate::Finding;
 
@@ -55,10 +55,6 @@ fn field<'a>(detail: &'a str, key: &str) -> Option<&'a str> {
     detail
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
-}
-
-fn node_of(ep: &str) -> &str {
-    ep.split('/').next().unwrap_or(ep)
 }
 
 fn apply_reset(states: &mut BTreeMap<String, AppState>, event: &Event) {

@@ -40,19 +40,69 @@ use std::collections::BTreeMap;
 
 use crate::callgraph::{self, Call, FnId, FnIndex};
 use crate::rules::locks::{self, LockScan};
-use crate::rules::panics::{indexes_value, PANIC_MACROS};
-use crate::rules::{blocking, punct};
+use crate::rules::{ident, punct};
 use crate::scanner::FileModel;
 
-/// Blocking call names for the *effect*, derived from the syntactic
-/// deny-list minus `lock` (tracked as `acquires` instead) plus DNS
-/// resolution, which the syntactic rule predates.
-fn is_blocking_effect(name: &str) -> bool {
-    (name != "lock" && blocking::BLOCKING_CALLS.contains(&name)) || name == "to_socket_addrs"
-}
+/// Call and macro names that can block the caller: sleeps,
+/// channel/condvar waits, thread parks/joins, socket accept/connect,
+/// DNS resolution, synchronous file/stream I/O, and the stdio macros
+/// (which lock and write stdout/stderr). `lock` is not here: the lock
+/// machinery owns it (see the module docs).
+const BLOCKING_CALLS: &[&str] = &[
+    "sleep",
+    "sleep_ms",
+    "recv",
+    "recv_timeout",
+    "recv_deadline",
+    "wait",
+    "wait_timeout",
+    "wait_while",
+    "park",
+    "park_timeout",
+    "join",
+    "accept",
+    "connect",
+    "to_socket_addrs",
+    "read_exact",
+    "read_to_end",
+    "read_to_string",
+    "read_line",
+    "write_all",
+    "flush",
+    "sync_all",
+    "sync_data",
+    "print",
+    "println",
+    "eprint",
+    "eprintln",
+    "dbg",
+];
 
-/// Macros that lock and write stdio — blocking on the hot path.
-const BLOCKING_MACROS: &[&str] = &["print", "println", "eprint", "eprintln", "dbg"];
+/// Macros that abort the thread (`debug_assert*` compiles out of
+/// release builds and is benign).
+const PANIC_MACROS: &[&str] =
+    &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
+
+/// True if the `[` at `i` opens an *index expression* — `buf[i]`,
+/// `map[&k]`, `raw[1..3]` — where the `[` follows an identifier or a
+/// closing `)`/`]`, rather than an array literal, slice pattern, or
+/// type. (Attributes were already stripped by the scanner, so `#[…]`
+/// cannot match.)
+fn indexes_value(tokens: &[crate::lexer::Token], i: usize) -> bool {
+    // Keywords may precede a slice pattern or array literal
+    // (`let [a, b]`, `return [0; 2]`) — never an indexed value.
+    const KEYWORDS: &[&str] = &[
+        "let", "mut", "ref", "in", "return", "break", "continue", "if", "else", "while", "for",
+        "match", "move",
+    ];
+    match i.checked_sub(1) {
+        Some(p) => match ident(tokens, p) {
+            Some(word) => !KEYWORDS.contains(&word),
+            None => matches!(punct(tokens, p), Some(')' | ']')),
+        },
+        None => false,
+    }
+}
 
 /// Calls that request fresh heap memory.
 const ALLOC_CALLS: &[&str] = &[
@@ -920,7 +970,7 @@ fn classify(
     if call.is_macro {
         if PANIC_MACROS.contains(&name) {
             prim(info, &mut out, EffectKind::Panics, format!("{name}!"));
-        } else if BLOCKING_MACROS.contains(&name) {
+        } else if BLOCKING_CALLS.contains(&name) {
             prim(info, &mut out, EffectKind::Blocks, format!("{name}!"));
         } else if ALLOC_MACROS.contains(&name) {
             prim(info, &mut out, EffectKind::Allocs, format!("{name}!"));
@@ -958,11 +1008,14 @@ fn classify(
         }
         return out;
     }
-    if is_blocking_effect(name) {
+    if BLOCKING_CALLS.contains(&name) {
         prim(info, &mut out, EffectKind::Blocks, name.to_string());
         return out;
     }
-    if (name == "unwrap" || name == "expect") && call.receiver.is_some() {
+    // Any method-call shape counts, including receivers with no base
+    // identifier (`x?.unwrap()`, `s.parse::<u8>().unwrap()`).
+    let method = call.tok > 0 && punct(&models[caller_mi].1.tokens, call.tok - 1) == Some('.');
+    if (name == "unwrap" || name == "expect") && method {
         prim(info, &mut out, EffectKind::Panics, format!(".{name}()"));
         return out;
     }

@@ -5,9 +5,9 @@
 //! checks what the *executed* schedules did; both leave a gap — code the
 //! sweep never drives. This crate closes it from the other side: a
 //! hand-rolled lexer ([`lexer`]) and item scanner ([`scanner`]) — no
-//! rustc plugin, no external parser — feed five rule families
-//! ([`rules`]) that check structural protocol properties over **all**
-//! source, reached or not:
+//! rustc plugin, no external parser — feed rule families ([`rules`])
+//! that check structural protocol properties over **all** source,
+//! reached or not:
 //!
 //! 1. **role-confinement** — every `.role`/`.term` store flows through
 //!    the annotated transition apply path ([`rules::role`]);
@@ -15,47 +15,46 @@
 //!    calls is cycle-free, and *covers* every lock oftt-audit observed
 //!    dynamically, so the static verdict is never vacuous
 //!    ([`rules::locks`]);
-//! 3. **nonblocking** — no blocking calls in modules that declare a
-//!    bounded-latency contract ([`rules::blocking`]);
-//! 4. **api-lifecycle** — the FTIM call-order DFA, statically, from the
-//!    same tables the dynamic linter uses ([`rules::lifecycle`]);
-//! 5. **no-panic** — no unwrap/expect/panic-macro/index on annotated
-//!    hot paths ([`rules::panics`]).
+//! 3. **api-lifecycle** — the FTIM call-order DFA, statically, from the
+//!    same tables the dynamic linter uses ([`rules::lifecycle`]).
 //!
-//! On top of the per-module families, an **interprocedural effect
-//! analysis** ([`effects`]) builds a workspace-wide call graph
-//! ([`callgraph`]) and runs a bottom-up fixpoint inferring `blocks`,
-//! `may_panic`, `allocates`, and the transitive lock-acquisition set
-//! per function, feeding three more families:
+//! An **interprocedural effect analysis** ([`effects`]) builds a
+//! workspace-wide call graph ([`callgraph`]) and runs a bottom-up
+//! fixpoint inferring `blocks`, `may_panic`, `allocates`, and the
+//! transitive lock-acquisition set per function. It is the crate's only
+//! recognizer of blocking and panic primitives, and feeds two more
+//! families:
 //!
-//! 6. **reactor-hot-path** — everything reachable from
-//!    `// oftt-lint: reactor-root` entry points is transitively
-//!    nonblocking and panic-free, allocating only through the `arena`
-//!    ([`rules::hotpath`]);
-//! 7. **lock-across-blocking** — no guard live across a call that
-//!    transitively blocks ([`rules::lock_block`]);
-//! 8. **annotation-drift** — `nonblocking`/`no-panic` directives the
-//!    inferred effects contradict ([`rules::drift`]); and the
-//!    lock-order graph gains call-derived edges so cross-function
-//!    acquisition chains are cycle-checked too.
+//! 4. **contracts** — one rule for the three effect directives
+//!    ([`rules::contract`]): a `// oftt-lint: nonblocking` or `no-panic`
+//!    file may contain no blocking (or `.lock()`) / panic primitive
+//!    (rules `nonblocking`, `no-panic`) and may not call out to a
+//!    function that blocks / may panic elsewhere (`annotation-drift`);
+//!    everything reachable from a `// oftt-lint: reactor-root` is
+//!    transitively nonblocking and panic-free, allocating only through
+//!    the `arena` (`reactor-hot-path`);
+//! 5. **lock-across-blocking** — no guard live across a call that
+//!    transitively blocks ([`rules::lock_block`]); and the lock-order
+//!    graph gains call-derived edges so cross-function acquisition
+//!    chains are cycle-checked too.
 //!
-//! The flow-*insensitive* families above prove properties of call
-//! *sets*; three flow-**sensitive** families run a forward dataflow
-//! ([`dataflow`]) over per-function control-flow graphs ([`cfg`]) built
-//! from the same token streams, so path-dependent obligations are
-//! proven over **all** paths — branches, loops, `?`, early returns:
+//! The families above prove properties of call *sets*; three
+//! flow-**sensitive** families run a forward dataflow ([`dataflow`])
+//! over per-function control-flow graphs ([`cfg`]) built from the same
+//! token streams, so path-dependent obligations are proven over **all**
+//! paths — branches, loops, `?`, early returns:
 //!
-//! 9. **pool-typestate** — every pooled buffer follows
+//! 6. **pool-typestate** — every pooled buffer follows
 //!    take → fill → (ship | recycle) on every path: use-after-recycle,
 //!    double-recycle, and leak-on-early-return are findings, and the
 //!    static pool-site set must cover every pool op oftt-audit observed
 //!    dynamically ([`rules::pool`]);
-//! 10. **epoch-stamping** — frames drained from the sharded queues are
-//!     wrapped in `StampedFrame` (carrying the connection epoch) before
-//!     any write-path consumption ([`rules::epoch`]);
-//! 11. **conn-dfa** — every construction of a declared connection-state
-//!     enum takes a transition its `dfa(...)` table admits
-//!     ([`rules::conn_dfa`]).
+//! 7. **epoch-stamping** — frames drained from the sharded queues are
+//!    wrapped in `StampedFrame` (carrying the connection epoch) before
+//!    any write-path consumption ([`rules::epoch`]);
+//! 8. **conn-dfa** — every construction of a declared connection-state
+//!    enum takes a transition its `dfa(...)` table admits
+//!    ([`rules::conn_dfa`]).
 //!
 //! Findings are typed ([`report::Finding`]), suppressible through a
 //! checked-in baseline (stale entries are themselves findings), and
@@ -155,8 +154,10 @@ fn relative(path: &Path, root: &Path) -> Option<String> {
 }
 
 /// Scans one source string under a chosen classification and returns
-/// its findings. This is the single-file core of [`run_scan`], exposed
-/// for fixture and adversarial tests.
+/// its single-file findings (diagnostics, role-confinement,
+/// api-lifecycle). This is the per-file stage of [`run_scan`], exposed
+/// for adversarial tests; the families that need the call graph run in
+/// `run_scan`'s analysis stage.
 pub fn scan_source(
     file: &str,
     source: &str,
@@ -175,9 +176,7 @@ pub fn scan_source(
         });
     }
     findings.extend(rules::role::check(file, &model));
-    findings.extend(rules::blocking::check(file, &model));
     findings.extend(rules::lifecycle::check(file, &model));
-    findings.extend(rules::panics::check(file, &model));
     (model, findings)
 }
 
@@ -227,9 +226,8 @@ pub fn run_scan(opts: &Options) -> Report {
     // intra-procedural graph *plus* call-derived edges, so the Tarjan
     // cycle check sees cross-function acquisition chains.
     let analysis = effects::Analysis::analyze(&models);
-    report.findings.extend(rules::hotpath::check(&analysis));
+    report.findings.extend(rules::contract::check(&models, &analysis));
     report.findings.extend(rules::lock_block::check(&analysis));
-    report.findings.extend(rules::drift::check(&models, &analysis));
     // The flow-sensitive stage: one CFG per function in the analysis
     // universe, then the typestate/dataflow families over them. Timed
     // as a unit — `dataflow_ms` in the report is this whole block.
@@ -290,15 +288,20 @@ mod tests {
     }
 
     #[test]
-    fn scan_source_merges_rule_families() {
-        let (_, findings) = scan_source(
-            "x.rs",
+    fn run_scan_merges_rule_families() {
+        let root = std::env::temp_dir().join(format!("oftt-lint-merge-{}", std::process::id()));
+        let path = root.join("src/x.rs");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(
+            &path,
             "// oftt-lint: no-panic\nfn f(x: Option<u8>) { x.unwrap(); self.role = r; }",
-            FileKind::Runtime,
-            false,
-        );
-        let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"no-panic"));
-        assert!(rules.contains(&"role-confinement"));
+        )
+        .unwrap();
+        let report =
+            run_scan(&Options { root: root.clone(), paths: vec![path], ..Options::default() });
+        std::fs::remove_dir_all(&root).unwrap();
+        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+        assert!(rules.contains(&"no-panic"), "{rules:?}");
+        assert!(rules.contains(&"role-confinement"), "{rules:?}");
     }
 }

@@ -10,9 +10,9 @@ use oftt_lint::Options;
 const USAGE: &str = "\
 oftt-lint: source-level static analyzer for the OFTT workspace — role
 confinement, static lock-order (cross-checked against oftt-audit's
-dynamic lock sites), blocking calls, API lifecycle, panic paths, an
-interprocedural effect analysis (reactor-hot-path,
-lock-across-blocking, transitive lock-order, annotation-drift), and
+dynamic lock sites), API lifecycle, an interprocedural effect analysis
+(the nonblocking / no-panic / reactor-hot-path contracts with
+annotation-drift, lock-across-blocking, transitive lock-order), and
 flow-sensitive dataflow over per-function CFGs (pool-buffer typestate
 cross-checked against oftt-audit's dynamic pool ops, epoch stamping,
 connection-DFA conformance)

@@ -23,8 +23,8 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// The rule family: `role-confinement`, `lock-order`, `lock-coverage`,
-    /// `nonblocking`, `api-lifecycle`, `no-panic`, `lex`, or `directive`.
+    /// The rule name: `role-confinement`, `nonblocking`,
+    /// `reactor-hot-path`, `annotation-drift`, `pool-typestate`, `lex`, …
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

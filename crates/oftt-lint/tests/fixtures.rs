@@ -8,10 +8,18 @@ use std::path::PathBuf;
 use oftt_lint::{run_scan, Options};
 
 fn scan_fixture(name: &str) -> oftt_lint::report::Report {
+    scan_fixtures(&[name])
+}
+
+/// Scans several fixture files as one set — for defects that only exist
+/// across a file boundary.
+fn scan_fixtures(names: &[&str]) -> oftt_lint::report::Report {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let path = root.join("fixtures").join(name);
-    assert!(path.is_file(), "missing fixture {}", path.display());
-    run_scan(&Options { root, paths: vec![path], ..Options::default() })
+    let paths: Vec<PathBuf> = names.iter().map(|name| root.join("fixtures").join(name)).collect();
+    for path in &paths {
+        assert!(path.is_file(), "missing fixture {}", path.display());
+    }
+    run_scan(&Options { root, paths, ..Options::default() })
 }
 
 fn rules_fired(report: &oftt_lint::report::Report) -> Vec<&str> {
@@ -65,6 +73,17 @@ fn panics_fixture_fires_no_panic() {
     assert_eq!(rules_fired(&report), ["no-panic"]);
     // Index, panic!, unwrap — in line order.
     assert_eq!(report.findings.len(), 3);
+}
+
+#[test]
+fn drift_fixture_fires_annotation_drift() {
+    let report = scan_fixtures(&["drift/codec.rs", "drift/journal.rs"]);
+    assert_eq!(rules_fired(&report), ["annotation-drift"]);
+    assert_eq!(report.findings.len(), 1);
+    let f = &report.findings[0];
+    assert_eq!(f.file, "fixtures/drift/codec.rs");
+    // The witness names the blocking primitive in the other file.
+    assert!(f.message.contains("write_all (fixtures/drift/journal.rs:7)"), "{}", f.message);
 }
 
 #[test]

@@ -166,16 +166,6 @@ impl FaultProxy {
         self.addr
     }
 
-    /// Replaces the client→target impairments.
-    pub fn set_forward(&self, spec: FaultSpec) {
-        *self.shared.forward.lock() = spec;
-    }
-
-    /// Replaces the target→client impairments.
-    pub fn set_backward(&self, spec: FaultSpec) {
-        *self.shared.backward.lock() = spec;
-    }
-
     /// Severs the link in both directions (and refuses new connections)
     /// until [`FaultProxy::heal`].
     pub fn partition(&self) {

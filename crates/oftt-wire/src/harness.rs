@@ -127,11 +127,6 @@ impl ChildNode {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
-
-    /// `true` if the process has exited.
-    pub fn is_dead(&mut self) -> bool {
-        matches!(self.child.try_wait(), Ok(Some(_)))
-    }
 }
 
 impl Drop for ChildNode {

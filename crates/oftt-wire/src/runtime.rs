@@ -202,11 +202,6 @@ impl WireNet {
         self.shared.host.dropped_count()
     }
 
-    /// Envelopes dropped because their destination node has no link.
-    pub fn unroutable_count(&self) -> u64 {
-        self.shared.unroutable.load(Ordering::Relaxed)
-    }
-
     /// Milliseconds since the runtime started (live wall time).
     pub fn now(&self) -> SimTime {
         self.shared.host.now()

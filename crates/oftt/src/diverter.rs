@@ -97,11 +97,6 @@ impl Diverter {
         }
     }
 
-    /// The node currently believed primary.
-    pub fn believed_primary(&self) -> Option<NodeId> {
-        self.primary.map(|c| c.node)
-    }
-
     fn enqueue(&self, msg: DivertMsg, primary: NodeId, env: &mut dyn ProcessEnv) {
         let dest = QueueAddress { node: primary, queue: self.queue.clone() };
         let size = 64 + msg.body.len() as u64;

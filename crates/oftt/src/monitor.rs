@@ -35,11 +35,6 @@ impl MonitorTable {
         self.rows.get(&node)
     }
 
-    /// The latest transport health snapshot from `node`, if any.
-    pub fn transport_row(&self, node: NodeId) -> Option<&TransportReport> {
-        self.transport.get(&node)
-    }
-
     /// `true` if `node`'s engine has stopped reporting.
     pub fn is_stale(&self, node: NodeId) -> bool {
         self.stale.get(&node).copied().unwrap_or(false)
